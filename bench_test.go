@@ -619,7 +619,9 @@ func BenchmarkViewIntern(b *testing.B) {
 // suite), the transport-level resends, and — for the crash variant —
 // the crash count and mean recovery (replay) time per crash in
 // milliseconds, the cost the checkpoint/replay protocol puts on a
-// shard death.
+// shard death. Every row runs on the warm table ComputeAdvice filled
+// (RunElect's policy), named by the "warm" path element; E27's rows
+// build a fresh table per iteration and say "fresh".
 func BenchmarkShardedBSP(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -649,7 +651,7 @@ func BenchmarkShardedBSP(b *testing.B) {
 				return inj
 			}},
 		} {
-			b.Run(size.name+"/"+tc.name, func(b *testing.B) {
+			b.Run(size.name+"/warm/"+tc.name, func(b *testing.B) {
 				var res *Result
 				for i := 0; i < b.N; i++ {
 					o := Options{}
@@ -793,6 +795,11 @@ func BenchmarkFrontierRefinement(b *testing.B) {
 // differential suite), transport resends, and for the kill variant the
 // crash count and the mean recovery (restart + journal replay) time per
 // kill in milliseconds — the cost of a process death on a live wire.
+// Every row builds a fresh interning table per iteration (worker
+// processes start empty anyway), named by the "fresh" path element.
+// The in-process rows — inprocess and loopback-tcp (a NetGroup) —
+// share that table across shards and ship no view bodies; only the
+// procs-* rows pay the full wire, view shipping included.
 func BenchmarkShardedWire(b *testing.B) {
 	const shards = 4
 	for _, size := range []struct {
@@ -817,9 +824,9 @@ func BenchmarkShardedWire(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// n=100k boundary exchanges ship ~1MB data frames plus
-				// multi-MB view closures per leg. Pace the resend ramp for
-				// big frames (the 200µs default floor is tuned for small
+				// n=100k boundary exchanges ship ~1MB data frames per leg
+				// (plus multi-MB view closures across processes). Pace the
+				// resend ramp for big frames (the 200µs default floor is tuned for small
 				// in-process exchanges) and give the exchange headroom over
 				// the 10s default before calling a shard stuck — all
 				// variants share these knobs so the rows stay comparable.
@@ -839,8 +846,8 @@ func BenchmarkShardedWire(b *testing.B) {
 			b.ReportMetric(float64(res.Time), "rounds")
 			b.ReportMetric(float64(stats.Retries), "resends")
 		}
-		b.Run(size.name+"/inprocess", func(b *testing.B) { run(b, nil) })
-		b.Run(size.name+"/loopback-tcp", func(b *testing.B) {
+		b.Run(size.name+"/fresh/inprocess", func(b *testing.B) { run(b, nil) })
+		b.Run(size.name+"/fresh/loopback-tcp", func(b *testing.B) {
 			run(b, func(b *testing.B) shard.Transport {
 				grp, err := shard.NewNetGroup("tcp", b.TempDir(), shards, nil)
 				if err != nil {
@@ -853,7 +860,7 @@ func BenchmarkShardedWire(b *testing.B) {
 		if size.name != "random-n100000" {
 			continue
 		}
-		b.Run(size.name+"/procs-tcp-kill", func(b *testing.B) {
+		b.Run(size.name+"/fresh/procs-tcp-kill", func(b *testing.B) {
 			var stats *shard.Stats
 			for i := 0; i < b.N; i++ {
 				h := newProcHarness(b, g, enc, shards, "tcp", "", 0)

@@ -346,11 +346,59 @@ func (c *coord) handle(rep report) (done bool, err error) {
 	return false, nil
 }
 
-// engine is the in-process deployment: workers are goroutines, control
-// messages are channels, and the transport defaults to a ChanTransport.
+// registry is the in-process engine's id → view map. Every worker of
+// one RunCtx interns into the same view.Table, so a peer's ghost id
+// already names a view this process holds and needs no body: senders
+// register their boundary views before the first data send, receivers
+// look the ids up. It belongs to the engine, not to an incarnation, so
+// journaled ghost ids still resolve after a shard restarts.
+type registry struct {
+	mu sync.RWMutex
+	m  map[uint64]*view.View
+}
+
+func (r *registry) put(vs []*view.View) {
+	r.mu.Lock()
+	for _, v := range vs {
+		r.m[v.ID()] = v
+	}
+	r.mu.Unlock()
+}
+
+// lookup fills out[i] with the view registered under ids[i] and
+// returns the index of the first unregistered id, or -1.
+func (r *registry) lookup(ids []uint64, out []*view.View) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i, id := range ids {
+		v := r.m[id]
+		if v == nil {
+			return i
+		}
+		out[i] = v
+	}
+	return -1
+}
+
+// unregisteredError reports a ghost id that no in-process peer
+// registered: the run's shards share one table, so this is a protocol
+// violation, never a transport fault the retry loop could absorb.
+type unregisteredError struct {
+	Shard, Node int
+	ID          uint64
+}
+
+func (e *unregisteredError) Error() string {
+	return fmt.Sprintf("shard: shard %d ghost node %d carries unregistered view id %d", e.Shard, e.Node, e.ID)
+}
+
+// engine is the in-process deployment: workers are goroutines sharing
+// one view.Table (and so one registry), control messages are channels,
+// and the transport defaults to a ChanTransport.
 type engine struct {
 	topo *topology
 	tab  *view.Table
+	reg  *registry
 	f    sim.Factory
 	opt  Options
 
@@ -386,7 +434,8 @@ func RunCtx(ctx context.Context, tab *view.Table, g *graph.Graph, f sim.Factory,
 		return res, stats, err
 	}
 
-	e := &engine{topo: newTopology(g, shards), tab: tab, f: f, opt: opt, tr: opt.Transport, jr: opt.Journal}
+	e := &engine{topo: newTopology(g, shards), tab: tab, reg: &registry{m: map[uint64]*view.View{}},
+		f: f, opt: opt, tr: opt.Transport, jr: opt.Journal}
 	if e.tr == nil {
 		e.tr = NewChanTransport(shards)
 	}
@@ -497,6 +546,10 @@ type worker struct {
 	opt  Options
 	tr   Transport
 	jr   Journal
+	// reg is the engine registry when every shard interns into tab
+	// (RunCtx); nil when the table is process-local (RunWorker), where
+	// ghost ids resolve through shipped view bodies instead.
+	reg *registry
 
 	s    int
 	lo   int
@@ -533,6 +586,7 @@ type worker struct {
 	// store holds the view bodies received per peer (journal-backed);
 	// ship[p] the view ids peer p has acked — the per-peer sent-set
 	// that makes each body cross the wire once per sender incarnation.
+	// Both stay empty when reg is set.
 	store *viewStore
 	ship  map[int]map[uint64]bool
 
@@ -550,7 +604,7 @@ type worker struct {
 
 func (e *engine) newWorker(s, incarnation int) *worker {
 	return &worker{
-		topo: e.topo, tab: e.tab, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr,
+		topo: e.topo, tab: e.tab, reg: e.reg, f: e.f, opt: e.opt, tr: e.tr, jr: e.jr,
 		s: s, inc: incarnation, lo: e.topo.ranges[s][0], size: e.topo.ranges[s][1] - e.topo.ranges[s][0],
 		emit: func(rep report) error { e.reports <- rep; return nil },
 		ctrlRecv: func() (ctrlMsg, bool) {
@@ -747,10 +801,10 @@ func (w *worker) sweep(r int) []Decision {
 // the deciders are not deterministic (or the journal is corrupt), and
 // silently proceeding could publish different bits than the crashed
 // incarnation already reported. The view ids compared are table-local:
-// a restarted process interns views in a deterministic order (leaf
-// batch, ghost slots, class batches — never on a transport or journal
-// path), so a faithful replay reproduces them bit-for-bit even in a
-// fresh table.
+// an in-process replay re-interns into the same table, and a restarted
+// process interns views in a deterministic order (leaf batch, ghost
+// slots, class batches — never on a transport or journal path), so a
+// faithful replay reproduces them bit-for-bit even in a fresh table.
 func (w *worker) validate(rec Record, decs []Decision) error {
 	if rec.Remaining != w.remaining || len(rec.Decided) != len(decs) {
 		return fmt.Errorf("shard: shard %d replay diverged at round %d: %d remaining / %d decisions, checkpoint has %d / %d",
@@ -893,17 +947,21 @@ func (w *worker) send(m Message) error {
 }
 
 // exchange completes round r's boundary swap: every peer's ghost ids
-// journaled locally with their view bodies resolvable, and every
-// outgoing payload and view batch acked. Journaled legs (recovery, or
+// journaled locally and resolvable, and every outgoing payload (and,
+// across processes, view batch) acked. Journaled legs (recovery, or
 // data that arrived early during the barrier wait) are served without
 // touching the transport; live legs run the seq/ack/retry protocol
 // under the round deadline, data and view legs retiring independently.
+// In-process shards register their boundary views instead of shipping
+// them, so only the data leg runs.
 func (w *worker) exchange(r int, live bool) error {
 	// fill copies the journaled payload of peer p into the ghost slots
-	// if its ids are fully resolvable from the stored view bodies.
+	// if its ids are resolvable: always with a shared table (the sender
+	// registered them before sending), else once the stored view bodies
+	// cover them.
 	fill := func(p int) bool {
 		ids, ok := w.pending[[2]int{r, p}]
-		if !ok || !w.store.complete(p, ids) {
+		if !ok || (w.reg == nil && !w.store.complete(p, ids)) {
 			return false
 		}
 		seg := w.ghostSeg[p]
@@ -941,7 +999,9 @@ func (w *worker) exchange(r int, live bool) error {
 				payload[i] = v.ID()
 			}
 			unackedData[p] = payload
-			if batch := viewClosure(w.shipOf(p), roots, nil); len(batch) > 0 {
+			if w.reg != nil {
+				w.reg.put(roots)
+			} else if batch := viewClosure(w.shipOf(p), roots, nil); len(batch) > 0 {
 				unackedViews[p] = batch
 			}
 		}
@@ -1070,8 +1130,9 @@ func (w *worker) stuck(r, pendingLegs int) error {
 // view ids (local classes first, then ghosts, by first occurrence),
 // range refinement, then one interned view per new class with children
 // read through the previous depth's classes and ghost views. Ghost ids
-// resolve here — through the journal-backed body store, re-interning
-// into the local table in ghost-slot order — and nowhere else, so the
+// resolve here and nowhere else: through the engine registry when the
+// table is shared, otherwise through the journal-backed body store,
+// re-interning into the local table in ghost-slot order — so the
 // interning stream of a worker is deterministic and survives process
 // restarts (see views.go).
 func (w *worker) step() error {
@@ -1089,16 +1150,23 @@ func (w *worker) step() error {
 	for c := 0; c < k; c++ {
 		w.ck[c] = assign(w.views[c].ID())
 	}
-	for s := range ghosts {
-		gv, err := w.store.resolve(w.tab, w.ghostPeer[s], w.ghostIDs[s])
-		if err != nil {
-			return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, ghosts[s], err)
+	if w.reg != nil {
+		if s := w.reg.lookup(w.ghostIDs, w.ghostViews); s >= 0 {
+			return &unregisteredError{Shard: w.s, Node: int(ghosts[s]), ID: w.ghostIDs[s]}
 		}
-		w.ghostViews[s] = gv
+	}
+	for s := range ghosts {
+		if w.reg == nil {
+			gv, err := w.store.resolve(w.tab, w.ghostPeer[s], w.ghostIDs[s])
+			if err != nil {
+				return fmt.Errorf("shard: shard %d cannot resolve ghost view (node %d): %w", w.s, ghosts[s], err)
+			}
+			w.ghostViews[s] = gv
+		}
 		// Compaction keys must be local ids: sender-local ids from two
 		// different peers may collide (or differ while denoting equal
 		// views) across tables.
-		w.gk[s] = assign(gv.ID())
+		w.gk[s] = assign(w.ghostViews[s].ID())
 	}
 
 	w.prevClass = w.rr.CopyClasses(w.prevClass)

@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +25,14 @@ import (
 // rate-clauses-only discipline).
 func goWorkers(t *testing.T, g *graph.Graph, shards int, jr Journal,
 	chaos func(shard int) *faults.Injector) (*sim.Result, *Stats, error) {
+	t.Helper()
+	return goWorkersWrapped(t, g, shards, jr, chaos, nil)
+}
+
+// goWorkersWrapped is goWorkers with every incarnation's transport
+// passed through wrap (when non-nil) as the outermost layer.
+func goWorkersWrapped(t *testing.T, g *graph.Graph, shards int, jr Journal,
+	chaos func(shard int) *faults.Injector, wrap func(Transport) Transport) (*sim.Result, *Stats, error) {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := make([]string, shards)
@@ -45,6 +55,9 @@ func goWorkers(t *testing.T, g *graph.Graph, shards int, jr Journal,
 				if inj := chaos(shard); inj != nil {
 					tr = NewFaultTransport(nt, inj)
 				}
+			}
+			if wrap != nil {
+				tr = wrap(tr)
 			}
 			RunWorker(WorkerConfig{ //nolint:errcheck // crash exits are the test's point
 				Shard: shard, Inc: inc, Graph: g, Shards: shards,
@@ -119,6 +132,74 @@ func TestRunProcCrashRestart(t *testing.T) {
 	}
 	if stats.Recoveries > 0 && stats.RecoveryTime <= 0 {
 		t.Error("recoveries with zero recovery time")
+	}
+}
+
+// chaosSeeds returns the seeds 1..n plus any extras from
+// SHARD_CHAOS_SEEDS (comma-separated), the variable CI's chaos suite
+// sets for its extra schedules.
+func chaosSeeds(tb testing.TB, n int64) []int64 {
+	seeds := make([]int64, 0, n)
+	for s := int64(1); s <= n; s++ {
+		seeds = append(seeds, s)
+	}
+	env := os.Getenv("SHARD_CHAOS_SEEDS")
+	if env == "" {
+		return seeds
+	}
+	for _, f := range strings.Split(env, ",") {
+		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		if err != nil {
+			tb.Fatalf("SHARD_CHAOS_SEEDS: %v", err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// TestRunProcChaos keeps protocol chaos on the view-shipping path,
+// which only workers with separate tables exercise: seeded
+// drop/dup/reorder/delay schedules (two fixed seeds plus any from
+// SHARD_CHAOS_SEEDS) plus one crash per worker. Every
+// peer link must have shipped (and had acked) at least one view batch,
+// and the outputs must stay bit-identical to RunBSP.
+func TestRunProcChaos(t *testing.T) {
+	g := graph.RandomConnected(60, 45, 11)
+	want, err := sim.RunBSP(view.NewTable(), g, countFactory, sim.DefaultMaxRounds(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 3
+	topo := newTopology(g, shards)
+	for _, seed := range chaosSeeds(t, 2) {
+		chaos := func(s int) *faults.Injector {
+			inj := faults.New(seed*100 + int64(s))
+			inj.SetRate(FaultDrop, 0.06)
+			inj.SetRate(FaultDup, 0.05)
+			inj.SetRate(FaultReorder, 0.05)
+			inj.SetRate(FaultDelay, 0.03)
+			inj.ArmAfter(CrashCat(s), 3+2*s, 1)
+			return inj
+		}
+		// One tally for every incarnation: acks delivered to a crashed
+		// incarnation count too.
+		counts := newTransportCounts()
+		got, stats, err := goWorkersWrapped(t, g, shards, NewMemJournal(), chaos, counts.wrap)
+		label := fmt.Sprintf("seed=%d", seed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSame(t, label, want, got)
+		if stats.Crashes < shards {
+			t.Errorf("%s: only %d crashes detected, want %d", label, stats.Crashes, shards)
+		}
+		for s := 0; s < shards; s++ {
+			for _, p := range topo.peers[s] {
+				if len(topo.sendList[s][p]) > 0 && counts.acked(s, p) == 0 {
+					t.Errorf("%s: link %d→%d never had a view batch acked", label, s, p)
+				}
+			}
+		}
 	}
 }
 

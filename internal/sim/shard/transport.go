@@ -1,10 +1,11 @@
 // Package shard runs the bulk-synchronous class-sharing engine across
 // shards that each own a contiguous node range of the graph's CSR and
 // exchange only boundary class identities per round — the partition,
-// not the views, crosses the wire (each distinct class view's *body* is
-// shipped to a peer at most a handful of times, on first reference, so
-// shards in different processes can resolve the ids; see views.go). The
-// data plane (Transport) is allowed to be faulty: messages may be
+// not the views, crosses the wire. Views cross only a process boundary:
+// in-process shards share one interning table and resolve ids through
+// the engine's registry, while worker processes receive each distinct
+// class view's *body* at most a handful of times, on first reference
+// (see views.go). The data plane (Transport) is allowed to be faulty: messages may be
 // dropped, duplicated, reordered or delayed, and whole shards may
 // crash; a sequence/ack/retry protocol plus a per-shard journal make
 // the engine produce outputs bit-identical to sim.RunBSP anyway
@@ -29,13 +30,15 @@ const (
 	// peer: Payload[i] is the interned view id of the i-th node of the
 	// deterministic ascending boundary list both endpoints compute from
 	// the graph (the sender's nodes adjacent to the receiver's range).
-	// The ids are local to the *sender's* view.Table; the receiver
-	// resolves them against the view bodies shipped with KindView.
+	// The ids are local to the *sender's* view.Table: in-process shards
+	// share it and resolve them through the engine registry, worker
+	// processes against the view bodies shipped with KindView.
 	KindData Kind = iota + 1
 	// KindAck acknowledges a KindData or KindView message, echoing
 	// Round and Seq and naming the acknowledged kind in AckOf.
 	KindAck
-	// KindView ships view bodies: the transitive closure, minus
+	// KindView ships view bodies between worker processes (never
+	// between in-process shards): the transitive closure, minus
 	// everything already acked by this peer, of the class views whose
 	// ids appear in the round's KindData payload. Bodies are journaled
 	// by the receiver before the ack, so acked views survive a crash
@@ -93,9 +96,10 @@ func (k Kind) String() string {
 // Message is one boundary-protocol datagram, and doubles as the frame
 // of the multi-process control plane (the wire codec in wire.go
 // serializes exactly the fields its Kind uses). Data messages are
-// small — one uint64 per boundary node — and view messages amortize to
-// nearly nothing: each distinct view body crosses a given peer link at
-// most once per sender incarnation.
+// small — one uint64 per boundary node. View messages travel only
+// between worker processes, and amortize to nearly nothing: each
+// distinct view body crosses a given peer link at most once per sender
+// incarnation.
 type Message struct {
 	From    int // sender shard
 	To      int // destination shard

@@ -10,16 +10,19 @@ import (
 //
 // Interned view ids are local to a view.Table (they are assigned in
 // interning order), so the ids a shard puts in a KindData payload mean
-// nothing in another process. PR 7 bridged the gap with a shared
-// in-process registry; the wire deployment instead ships each class
-// view's *body* to a peer once, on first reference: alongside every
-// data payload the sender transmits the transitive closure of the
+// something only where the receiver interns into the same table. The
+// in-process engine (RunCtx) hands one table to every worker, so its
+// shards resolve ghost ids through the engine's id → view registry and
+// no body ever travels. Views cross only a process boundary: a worker
+// process (RunWorker) owns its own table, so there each class view's
+// *body* is shipped to a peer once, on first reference — alongside
+// every data payload the sender transmits the transitive closure of the
 // payload's class views minus everything the peer has already acked
 // (KindView), and the receiver re-interns the bodies into its own
-// table. Correctness needs only the equality pattern of the ids —
-// the engine's per-round compaction (worker.step) maps ids to dense
-// keys by first occurrence — so locally re-interned views refine
-// identically to shared-table views.
+// table. Correctness needs only the equality pattern of the ids — the
+// engine's per-round compaction (worker.step) maps ids to dense keys by
+// first occurrence — so locally re-interned views refine identically
+// to shared-table views.
 //
 // Durability and exactly-once: the receiver journals fresh bodies
 // before acking, so acked views survive its crashes and the sender's
