@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advice"
 	"repro/internal/algorithms"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -886,6 +887,44 @@ func BenchmarkShardedWire(b *testing.B) {
 				b.ReportMetric(float64(stats.MeanRecovery())/1e6, "recovery-ms/kill")
 			}
 			b.ReportMetric(float64(stats.Retries), "resends")
+		})
+	}
+}
+
+// E28 — the advice codec alone (Theorem 3.1, DESIGN.md §6): Encode of
+// the oracle's advice, and Decode, the step every node runs on the
+// O(n log n)-bit string before it can elect. The graphs are E22's
+// random rows and the natural-port 140×141 grid (φ = 69), whose advice
+// is dominated by deep E2 levels rather than by the BFS tree.
+func BenchmarkAdviceCodec(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		make func() *Graph
+	}{
+		{"random-n10000", func() *Graph { return RandomConnected(10_000, 5_000, 1) }},
+		{"random-n100000", func() *Graph { return RandomConnected(100_000, 50_000, 1) }},
+		{"grid-140x141", func() *Graph { return Grid(140, 141) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a, enc, err := NewSystem().ComputeAdvice(tc.make())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run("decode", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := advice.Decode(enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(enc.Len()), "advice-bits")
+			})
+			b.Run("encode", func(b *testing.B) {
+				var n int
+				for i := 0; i < b.N; i++ {
+					n = a.Encode().Len()
+				}
+				b.ReportMetric(float64(n), "advice-bits")
+			})
 		})
 	}
 }

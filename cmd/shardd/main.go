@@ -91,8 +91,12 @@ func run(shardIdx, shards, inc int, graphPath, advPath, network, sup, peers, jou
 	if err != nil {
 		return err
 	}
+	adv, err := bits.Parse(strings.TrimSpace(string(advText)))
+	if err != nil {
+		return fmt.Errorf("read advice %s: %w", advPath, err)
+	}
 	tab := view.NewTable()
-	factory, err := algorithms.NewElectFactory(tab, bits.New(strings.TrimSpace(string(advText))))
+	factory, err := algorithms.NewElectFactory(tab, adv)
 	if err != nil {
 		return fmt.Errorf("decode advice: %w", err)
 	}

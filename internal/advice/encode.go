@@ -114,10 +114,11 @@ func Decode(s bits.String) (*Advice, error) {
 // tree spans the labels {1..n} with root 1, every non-root label has
 // exactly one parent, every path reaches the root, and all ports are
 // non-negative. Corrupted bit strings that survive the doubling code are
-// usually caught here.
+// usually caught here. It runs in O(n): labels index slices, and one
+// marking pass settles every label once, whatever the tree's depth.
 func (a *Advice) Validate() error {
 	n := len(a.Tree) + 1
-	parent := make(map[int]int, n)
+	parent := make([]int, n+1) // 0: no edge into this label (yet)
 	for _, e := range a.Tree {
 		switch {
 		case e.ChildLabel < 1 || e.ChildLabel > n || e.ParentLabel < 1 || e.ParentLabel > n:
@@ -126,24 +127,33 @@ func (a *Advice) Validate() error {
 			return errors.New("advice: root label 1 appears as a child")
 		case e.PortParent < 0 || e.PortChild < 0:
 			return errors.New("advice: negative port in tree")
-		}
-		if _, dup := parent[e.ChildLabel]; dup {
+		case parent[e.ChildLabel] != 0:
 			return fmt.Errorf("advice: label %d has two parents", e.ChildLabel)
 		}
 		parent[e.ChildLabel] = e.ParentLabel
 	}
+	// Walk up from each label until a label already known to reach the
+	// root; meeting a label of the current walk again is a cycle. Each
+	// label joins one walk, so the pass is linear.
+	const onPath, reachesRoot = 1, 2
+	state := make([]uint8, n+1)
+	state[1] = reachesRoot
+	var path []int
 	for l := 2; l <= n; l++ {
-		if _, ok := parent[l]; !ok {
+		if parent[l] == 0 {
 			return fmt.Errorf("advice: label %d missing from tree", l)
 		}
-		cur, steps := l, 0
-		for cur != 1 {
-			cur = parent[cur]
-			steps++
-			if steps > n {
+		for cur := l; state[cur] != reachesRoot; cur = parent[cur] {
+			if state[cur] == onPath {
 				return errors.New("advice: tree contains a cycle")
 			}
+			state[cur] = onPath
+			path = append(path, cur)
 		}
+		for _, v := range path {
+			state[v] = reachesRoot
+		}
+		path = path[:0]
 	}
 	return nil
 }

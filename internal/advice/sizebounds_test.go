@@ -2,6 +2,7 @@ package advice
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/trie"
@@ -115,6 +116,13 @@ func TestValidateCatchesBadTrees(t *testing.T) {
 			{ParentLabel: 1, ChildLabel: 2, PortParent: 0, PortChild: 0},
 			{ParentLabel: 1, ChildLabel: 2, PortParent: 1, PortChild: 1},
 		}},
+		// A cycle through 1000 labels that never reaches the root.
+		{Phi: 1, Tree: chainTree(2, 1001, func(l int) int {
+			if l == 1001 {
+				return 2
+			}
+			return l + 1
+		})},
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {
@@ -127,5 +135,30 @@ func TestValidateCatchesBadTrees(t *testing.T) {
 	}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid tree rejected: %v", err)
+	}
+}
+
+// chainTree returns the edges child l -> parent(l) for l in [lo, hi].
+func chainTree(lo, hi int, parent func(l int) int) []LabeledTreeEdge {
+	tree := make([]LabeledTreeEdge, 0, hi-lo+1)
+	for l := lo; l <= hi; l++ {
+		tree = append(tree, LabeledTreeEdge{ParentLabel: parent(l), ChildLabel: l, PortParent: 1, PortChild: 0})
+	}
+	return tree
+}
+
+// Validate must be linear in the tree, not in n times its depth: a path
+// of 10^5 labels (the depth a lollipop or broom reaches at that n) took
+// minutes under a per-label walk to the root and takes milliseconds now.
+// The bound leaves three orders of magnitude of slack for slow runners.
+func TestValidateDeepChain(t *testing.T) {
+	const n = 100000
+	a := &Advice{Phi: 1, Tree: chainTree(2, n, func(l int) int { return l - 1 })}
+	start := time.Now()
+	if err := a.Validate(); err != nil {
+		t.Fatalf("chain of %d labels rejected: %v", n, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("validating a chain of %d labels took %v", n, d)
 	}
 }

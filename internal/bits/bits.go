@@ -11,10 +11,12 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	mathbits "math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // String is an immutable sequence of bits. The zero value is the empty
@@ -25,22 +27,42 @@ type String struct {
 	n int
 }
 
-// New returns a bit string parsed from a textual sequence of '0' and '1'
-// characters. It panics on any other character; it is intended for tests
-// and literals.
-func New(s string) String {
-	var w Writer
-	for _, c := range s {
-		switch c {
-		case '0':
-			w.WriteBit(false)
-		case '1':
-			w.WriteBit(true)
-		default:
-			panic(fmt.Sprintf("bits.New: invalid character %q", c))
+// Parse returns the bit string spelled by a sequence of '0' and '1'
+// characters, or an error naming the first other character. It packs
+// eight characters into one byte per step, so reading an advice file
+// of tens of megabits costs one pass over the text.
+func Parse(s string) (String, error) {
+	b := make([]byte, (len(s)+7)>>3)
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := uint64(s[i])<<56 | uint64(s[i+1])<<48 | uint64(s[i+2])<<40 | uint64(s[i+3])<<32 |
+			uint64(s[i+4])<<24 | uint64(s[i+5])<<16 | uint64(s[i+6])<<8 | uint64(s[i+7])
+		x ^= 0x3030303030303030 // '0' -> 0, '1' -> 1
+		if x&0xfefefefefefefefe != 0 {
+			break // a byte other than '0'/'1': the loop below locates it
 		}
+		// Gather bit 0 of each byte, first character most significant.
+		b[i>>3] = byte(x * 0x0102040810204080 >> 56)
 	}
-	return w.String()
+	for ; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 1 {
+			r, _ := utf8.DecodeRuneInString(s[i:])
+			return String{}, fmt.Errorf("bits: invalid character %q at offset %d", r, i)
+		}
+		b[i>>3] |= c << (7 - uint(i&7))
+	}
+	return String{b: b, n: len(s)}, nil
+}
+
+// New is Parse for literals: it panics on any character other than '0'
+// and '1'.
+func New(s string) String {
+	b, err := Parse(s)
+	if err != nil {
+		panic(fmt.Sprintf("bits.New: %v", err))
+	}
+	return b
 }
 
 // Len returns the number of bits in s.
@@ -203,28 +225,6 @@ func (w *Writer) String() String {
 	return String{b: b, n: w.n}
 }
 
-// Reader consumes a bit string from the front.
-type Reader struct {
-	s   String
-	pos int
-}
-
-// NewReader returns a reader over s.
-func NewReader(s String) *Reader { return &Reader{s: s} }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.s.n - r.pos }
-
-// ReadBit consumes and returns one bit.
-func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= r.s.n {
-		return false, errors.New("bits: read past end of string")
-	}
-	b := r.s.Bit(r.pos)
-	r.pos++
-	return b, nil
-}
-
 // Bin returns bin(x), the standard binary representation of the
 // non-negative integer x with no leading zeros; bin(0) is the single bit 0.
 func Bin(x int) String {
@@ -249,20 +249,26 @@ func Bin(x int) String {
 // it as an unsigned binary number (leading zeros allowed, so it can parse
 // substrings produced by other encoders too).
 func ParseBin(s String) (int, error) {
-	if s.n == 0 {
-		return 0, errors.New("bits: empty string is not a number")
+	if err := binLenErr(s.n); err != nil {
+		return 0, err
 	}
-	if s.n > 62 {
-		return 0, fmt.Errorf("bits: number of %d bits overflows int", s.n)
+	var x uint64
+	for _, c := range s.b[:(s.n+7)>>3] {
+		x = x<<8 | uint64(c)
 	}
-	x := 0
-	for i := 0; i < s.n; i++ {
-		x <<= 1
-		if s.Bit(i) {
-			x |= 1
-		}
+	return int(x >> uint(-s.n&7)), nil
+}
+
+// binLenErr is ParseBin's verdict on a number of n digits: empty or
+// wider than an int holds.
+func binLenErr(n int) error {
+	switch {
+	case n == 0:
+		return errors.New("bits: empty string is not a number")
+	case n > 62:
+		return fmt.Errorf("bits: number of %d bits overflows int", n)
 	}
-	return x, nil
+	return nil
 }
 
 // Concat encodes the sequence of substrings (A1, ..., Ak) into a single
@@ -315,28 +321,137 @@ func (w *Writer) WriteDoubled(p String) {
 // single empty string and Concat of no strings both produce the empty
 // encoding; Decode of the empty string returns a single empty part, which
 // is the convention used by the advice codecs in this repository.
+//
+// The parts share one buffer, allocated once at its final size; each
+// starts on a byte boundary.
 func Decode(s String) ([]String, error) {
-	parts := []String{}
-	var cur Writer
-	i := 0
-	for i < s.n {
-		if i+1 >= s.n {
-			return nil, errors.New("bits: dangling bit in doubled encoding")
-		}
-		a, b := s.Bit(i), s.Bit(i+1)
-		switch {
-		case a == b:
-			cur.WriteBit(a)
-		case !a && b: // 01: separator
-			parts = append(parts, cur.String())
-			cur = Writer{}
-		default: // 10: invalid
-			return nil, fmt.Errorf("bits: invalid pair 10 at offset %d", i)
-		}
-		i += 2
+	seps, err := scanPairs(s)
+	if err != nil {
+		return nil, err
 	}
-	parts = append(parts, cur.String())
-	return parts, nil
+	parts := make([]String, 0, seps+1)
+	// Each part takes its digits rounded up to whole bytes.
+	out := packer{buf: make([]byte, 0, (s.n/2-seps)/8+seps+1)}
+	for k := 0; k<<6 < s.n; k++ {
+		v, sep, np := s.pairRuns(k)
+		i := 0
+		for sep != 0 {
+			var p int
+			p, sep = nextSep(sep)
+			out.put(digits(v, i, p), p-i)
+			parts = append(parts, out.part())
+			i = p + 1
+		}
+		out.put(digits(v, i, np), np-i)
+	}
+	return append(parts, out.part()), nil
+}
+
+// packer appends bits to buf, collecting them 32 at a time in acc, and
+// cuts buf into byte-aligned Strings.
+type packer struct {
+	buf   []byte
+	acc   uint64 // pending bits: the low na of them
+	na    int
+	start int // buf offset of the open part
+	nbits int // bits in the open part
+}
+
+// put appends the low k ≤ 32 bits of v, most significant first.
+func (w *packer) put(v uint64, k int) {
+	w.acc = w.acc<<uint(k) | v
+	w.na += k
+	w.nbits += k
+	if w.na >= 32 {
+		w.na -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>uint(w.na)))
+	}
+}
+
+// part closes the open part, padding it to a whole byte, and returns it.
+func (w *packer) part() String {
+	for ; w.na >= 8; w.na -= 8 {
+		w.buf = append(w.buf, byte(w.acc>>uint(w.na-8)))
+	}
+	if w.na > 0 {
+		w.buf = append(w.buf, byte(w.acc<<uint(8-w.na)))
+		w.na = 0
+	}
+	p := String{b: w.buf[w.start:len(w.buf):len(w.buf)], n: w.nbits}
+	w.start, w.nbits = len(w.buf), 0
+	return p
+}
+
+// pairLo selects the second bit of each of the 32 pairs of a word.
+const pairLo = 0x5555555555555555
+
+// pairWord returns the k-th 64-bit word of s, bits 64k..64k+63 with the
+// first most significant, and the number np ≤ 32 of whole pairs of s it
+// holds; the bits past those pairs read as zero (so as 00 pairs).
+func (s String) pairWord(k int) (w uint64, np int) {
+	np = min((s.n-k<<6)>>1, 32)
+	if off := k << 3; off+8 <= len(s.b) {
+		w = binary.BigEndian.Uint64(s.b[off:])
+	} else {
+		var tail [8]byte
+		copy(tail[:], s.b[off:])
+		w = binary.BigEndian.Uint64(tail[:])
+	}
+	return w &^ (1<<uint(64-2*np) - 1), np
+}
+
+// scanPairs checks that s is a well-formed doubled encoding — no pair
+// 10 and no dangling last bit, reported in that order of precedence as
+// a left-to-right scan meets them — and counts its 01 separators. The
+// whole scan is a few word operations per 32 pairs.
+func scanPairs(s String) (seps int, err error) {
+	for k := 0; k<<6 < s.n; k++ {
+		w, _ := s.pairWord(k)
+		first, second := w>>1&pairLo, w&pairLo
+		if bad := first &^ second; bad != 0 {
+			// Pair j's second bit sits at 62-2j, after 2j+1 leading zeros.
+			return 0, fmt.Errorf("bits: invalid pair 10 at offset %d", k<<6+mathbits.LeadingZeros64(bad)-1)
+		}
+		seps += mathbits.OnesCount64(second &^ first)
+	}
+	if s.n&1 != 0 {
+		return 0, errors.New("bits: dangling bit in doubled encoding")
+	}
+	return seps, nil
+}
+
+// pairRuns reads word k of an encoding scanPairs accepted: bit 31-j of
+// v is the digit of pair j, sep has bit 62-2j set when pair j is a
+// separator, and np is the word's number of pairs. Within a valid
+// encoding a pair's second bit is its digit, and the pair is a
+// separator exactly when its first bit is 0 and its second 1.
+func (s String) pairRuns(k int) (v, sep uint64, np int) {
+	w, np := s.pairWord(k)
+	return squeeze(w), ^w >> 1 & w & pairLo, np
+}
+
+// nextSep returns the index of the first separator pair in a non-zero
+// pairRuns mask, and the mask without it.
+func nextSep(sep uint64) (int, uint64) {
+	lz := mathbits.LeadingZeros64(sep)
+	return lz >> 1, sep &^ (1 << uint(63-lz))
+}
+
+// squeeze gathers the bits of x at the pairLo positions — one per pair
+// — into the low 32 bits, first pair most significant.
+func squeeze(x uint64) uint64 {
+	x &= pairLo
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0x00000000ffffffff
+}
+
+// digits returns the digits of pairs [i, p) of a pairRuns word v, as
+// the low p-i bits, first digit most significant.
+func digits(v uint64, i, p int) uint64 {
+	return v >> uint(32-p) & (1<<uint(p-i) - 1)
 }
 
 // ConcatInts encodes a sequence of non-negative integers as
@@ -380,19 +495,38 @@ func (w *Writer) WriteBinRepeated(x, k int) {
 	}
 }
 
-// DecodeInts inverts ConcatInts.
+// DecodeInts inverts ConcatInts. It parses the integers straight from
+// the doubled stream into one slice sized by the separator count, with
+// no intermediate String per integer. A malformed encoding is reported
+// before any bad integer, and the first bad integer (empty, or over 62
+// digits) before later ones.
 func DecodeInts(s String) ([]int, error) {
-	parts, err := Decode(s)
+	seps, err := scanPairs(s)
 	if err != nil {
 		return nil, err
 	}
-	xs := make([]int, len(parts))
-	for i, p := range parts {
-		x, err := ParseBin(p)
-		if err != nil {
-			return nil, fmt.Errorf("bits: part %d: %w", i, err)
+	xs := make([]int, 0, seps+1)
+	var x uint64
+	nd := 0 // digits of x
+	for k := 0; k<<6 < s.n; k++ {
+		v, sep, np := s.pairRuns(k)
+		i := 0
+		for sep != 0 {
+			var p int
+			p, sep = nextSep(sep)
+			x = x<<uint(p-i) | digits(v, i, p)
+			if err := binLenErr(nd + p - i); err != nil {
+				return nil, fmt.Errorf("bits: part %d: %w", len(xs), err)
+			}
+			xs = append(xs, int(x))
+			x, nd = 0, 0
+			i = p + 1
 		}
-		xs[i] = x
+		x = x<<uint(np-i) | digits(v, i, np)
+		nd += np - i
 	}
-	return xs, nil
+	if err := binLenErr(nd); err != nil {
+		return nil, fmt.Errorf("bits: part %d: %w", len(xs), err)
+	}
+	return append(xs, int(x)), nil
 }

@@ -272,22 +272,6 @@ func TestConcatIntsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReader(t *testing.T) {
-	r := NewReader(New("101"))
-	for i, want := range []bool{true, false, true} {
-		got, err := r.ReadBit()
-		if err != nil || got != want {
-			t.Fatalf("bit %d: got %v, %v", i, got, err)
-		}
-	}
-	if r.Remaining() != 0 {
-		t.Error("remaining should be 0")
-	}
-	if _, err := r.ReadBit(); err == nil {
-		t.Error("expected error past end")
-	}
-}
-
 // Fuzz-ish robustness: Decode and DecodeInts must never panic on
 // arbitrary bit strings — they either round-trip or return an error.
 func TestDecodeNeverPanics(t *testing.T) {
