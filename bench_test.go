@@ -9,6 +9,7 @@ package election
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -925,6 +926,43 @@ func BenchmarkAdviceCodec(b *testing.B) {
 				}
 				b.ReportMetric(float64(n), "advice-bits")
 			})
+		})
+	}
+}
+
+// E29 — graph construction (DESIGN.md §13): UnmarshalBinary, the
+// advice service's binary decode plus the full Builder validation every
+// request that misses the memo pays, on the E24 random graph and on the
+// 1000×1000 grid; and RelabelNodes of that grid, which the deep-grid
+// workload pays in its set-up.
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		g       func() *Graph
+		relabel bool
+	}{
+		{"random-n10000", func() *Graph { return RandomConnected(10_000, 5_000, 1) }, false},
+		{"grid-1000x1000", func() *Graph { return graph.GridStream(1000, 1000) }, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.g()
+			b.Run("unmarshal", func(b *testing.B) {
+				enc, _ := g.MarshalBinary()
+				b.SetBytes(int64(len(enc)))
+				for b.Loop() {
+					if _, err := graph.UnmarshalBinary(enc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if tc.relabel {
+				b.Run("relabel", func(b *testing.B) {
+					perm := rand.New(rand.NewSource(1)).Perm(g.N())
+					for b.Loop() {
+						graph.RelabelNodes(g, perm)
+					}
+				})
+			}
 		})
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"encoding/binary"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +50,30 @@ func TestBinaryRejects(t *testing.T) {
 		if _, err := UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: decoder accepted malformed input", name)
 		}
+	}
+}
+
+// A header claiming the simple-graph maximum of edges on a short body is
+// a truncation error, and the decoder reserves no more edges than the
+// body could hold.
+func TestBinaryForgedEdgeCount(t *testing.T) {
+	n := 1 << 12
+	data := append([]byte("APG1"), binary.AppendUvarint(nil, uint64(n))...)
+	data = binary.AppendUvarint(data, uint64(n*(n-1)/2))
+	data = append(data, 0, 0, 1, 0, 1, 1) // one edge, then a cut-off one
+	var err error
+	allocs := testing.AllocsPerRun(20, func() { _, err = UnmarshalBinary(data) })
+	if err == nil || !strings.Contains(err.Error(), "truncated binary") {
+		t.Fatalf("got error %v, want a truncation error", err)
+	}
+	if allocs > 10 {
+		t.Errorf("%v allocations per decode of a forged header", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<16 {
+		t.Errorf("a forged header cost %d bytes of allocation", b)
 	}
 }

@@ -74,6 +74,9 @@ func (g *Graph) PortTo(u, v int) int {
 // Builder assembles a port-labeled graph edge by edge and validates the
 // model invariants on Finalize: simplicity (no loops, no parallel edges),
 // port numbers forming exactly {0..deg-1} at every node, and connectivity.
+// Finalize takes O(n+m) time and memory and allocates no map for valid
+// input, so decoding a graph from outside costs about as much as
+// building one with the Stream constructors.
 type Builder struct {
 	n     int
 	edges []builderEdge
@@ -100,59 +103,144 @@ func (b *Builder) AddEdge(u, pu, v, pv int) *Builder {
 	return b
 }
 
-// Finalize validates the accumulated edges and returns the graph.
+// Finalize validates the accumulated edges and returns the graph, in
+// O(n+m) time over int32 arrays and one adjacency slab.
+//
+// Each edge is checked, in insertion order, for an endpoint out of
+// range, a self-loop, a negative port, a parallel edge, and a port
+// already used at either endpoint; the error names the first edge that
+// fails, and its first failing check. Only once every edge passes are
+// the port ranges checked — the error names the lowest node whose ports
+// are not exactly {0..deg-1} and its smallest port >= deg — and then
+// connectivity. Errors therefore depend on the input alone.
 func (b *Builder) Finalize() (*Graph, error) {
-	type portKey struct{ v, p int }
-	seenPort := make(map[portKey]bool)
-	seenEdge := make(map[[2]int]bool)
-	adjPorts := make([]map[int]Half, b.n)
-	for i := range adjPorts {
-		adjPorts[i] = make(map[int]Half)
+	n := b.n
+	// Local checks. The edges before the first failure are the only
+	// ones the checks against earlier edges can still blame.
+	ok, localErr := b.edges, error(nil)
+	for i, e := range b.edges {
+		if localErr = e.check(n); localErr != nil {
+			ok = b.edges[:i]
+			break
+		}
 	}
-	for _, e := range b.edges {
-		if e.u < 0 || e.u >= b.n || e.v < 0 || e.v >= b.n {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.u, e.v, b.n)
-		}
-		if e.u == e.v {
-			return nil, fmt.Errorf("graph: self-loop at node %d", e.u)
-		}
-		if e.pu < 0 || e.pv < 0 {
-			return nil, fmt.Errorf("graph: negative port on edge {%d,%d}", e.u, e.v)
-		}
-		lo, hi := e.u, e.v
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if seenEdge[[2]int{lo, hi}] {
-			return nil, fmt.Errorf("graph: parallel edge {%d,%d}", e.u, e.v)
-		}
-		seenEdge[[2]int{lo, hi}] = true
-		if seenPort[portKey{e.u, e.pu}] {
-			return nil, fmt.Errorf("graph: port %d reused at node %d", e.pu, e.u)
-		}
-		if seenPort[portKey{e.v, e.pv}] {
-			return nil, fmt.Errorf("graph: port %d reused at node %d", e.pv, e.v)
-		}
-		seenPort[portKey{e.u, e.pu}] = true
-		seenPort[portKey{e.v, e.pv}] = true
-		adjPorts[e.u][e.pu] = Half{To: e.v, RemotePort: e.pv}
-		adjPorts[e.v][e.pv] = Half{To: e.u, RemotePort: e.pu}
+
+	deg := make([]int32, n)
+	for _, e := range ok {
+		deg[e.u]++
+		deg[e.v]++
 	}
-	g := &Graph{adj: make([][]Half, b.n), m: len(seenEdge)}
-	for v, ports := range adjPorts {
-		d := len(ports)
-		g.adj[v] = make([]Half, d)
-		for p, h := range ports {
-			if p >= d {
-				return nil, fmt.Errorf("graph: node %d has degree %d but uses port %d", v, d, p)
+	// Row v of the slab holds the first user of each port p < deg(v);
+	// To < 0 marks a free port. A port >= deg(v) can only be invalid
+	// input, so those go to a side map that valid input never touches.
+	g := newSlabGraph(deg, len(ok))
+	for _, row := range g.adj {
+		for p := range row {
+			row[p].To = -1
+		}
+	}
+	var high map[[2]int]bool
+	firstReuse, reuseErr := len(ok), error(nil)
+	for i, e := range ok {
+		if !claimPort(g, &high, e.u, e.pu, e.v, e.pv) {
+			firstReuse, reuseErr = i, fmt.Errorf("graph: port %d reused at node %d", e.pu, e.u)
+			break
+		}
+		if !claimPort(g, &high, e.v, e.pv, e.u, e.pu) {
+			firstReuse, reuseErr = i, fmt.Errorf("graph: port %d reused at node %d", e.pv, e.v)
+			break
+		}
+	}
+
+	// Parallel edges: bucket the edges up to the first port reuse by
+	// their low endpoint (a stable counting sort, so each bucket is in
+	// insertion order), then stamp each bucket's high endpoints; a high
+	// endpoint stamped twice in one bucket is a parallel edge.
+	upTo := ok[:min(firstReuse+1, len(ok))]
+	start := make([]int32, n+1)
+	for _, e := range upTo {
+		start[min(e.u, e.v)+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	order := make([]int32, len(upTo))
+	for i, e := range upTo {
+		lo := min(e.u, e.v)
+		order[start[lo]] = int32(i)
+		start[lo]++
+	}
+	stamp := start[:n] // the bucket bounds are spent; reuse them
+	clear(stamp)
+	firstParallel := len(upTo)
+	for _, i := range order {
+		e := upTo[i]
+		lo, hi := int32(min(e.u, e.v))+1, max(e.u, e.v)
+		if stamp[hi] == lo {
+			firstParallel = min(firstParallel, int(i))
+		} else {
+			stamp[hi] = lo
+		}
+	}
+
+	switch {
+	// upTo ends at the first port reuse; on that edge itself the parallel
+	// check comes first.
+	case firstParallel < len(upTo):
+		e := upTo[firstParallel]
+		return nil, fmt.Errorf("graph: parallel edge {%d,%d}", e.u, e.v)
+	case reuseErr != nil:
+		return nil, reuseErr
+	case localErr != nil:
+		return nil, localErr
+	}
+	if high != nil {
+		bad := [2]int{n, 0}
+		for k := range high {
+			if k[0] < bad[0] || k[0] == bad[0] && k[1] < bad[1] {
+				bad = k
 			}
-			g.adj[v][p] = h
 		}
+		return nil, fmt.Errorf("graph: node %d has degree %d but uses port %d", bad[0], deg[bad[0]], bad[1])
 	}
-	if b.n > 1 && !g.Connected() {
+	if n > 1 && !g.Connected() {
 		return nil, fmt.Errorf("graph: not connected")
 	}
 	return g, nil
+}
+
+// check runs the checks that need no other edge.
+func (e builderEdge) check(n int) error {
+	switch {
+	case e.u < 0 || e.u >= n || e.v < 0 || e.v >= n:
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", e.u, e.v, n)
+	case e.u == e.v:
+		return fmt.Errorf("graph: self-loop at node %d", e.u)
+	case e.pu < 0 || e.pv < 0:
+		return fmt.Errorf("graph: negative port on edge {%d,%d}", e.u, e.v)
+	}
+	return nil
+}
+
+// claimPort records the half-edge leaving v through port p toward
+// (to, rp), reporting false if an earlier edge already holds (v, p).
+func claimPort(g *Graph, high *map[[2]int]bool, v, p, to, rp int) bool {
+	if row := g.adj[v]; p < len(row) {
+		if row[p].To >= 0 {
+			return false
+		}
+		row[p] = Half{To: to, RemotePort: rp}
+		return true
+	}
+	k := [2]int{v, p}
+	if (*high)[k] {
+		return false
+	}
+	if *high == nil {
+		*high = make(map[[2]int]bool)
+	}
+	(*high)[k] = true
+	return true
 }
 
 // MustFinalize is Finalize for statically-correct constructions; it panics
@@ -187,7 +275,10 @@ func (g *Graph) BFSDist(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	// Every node enters the queue at most once, so a queue with room for
+	// all n never reallocates as it slides forward.
+	queue := make([]int, 1, len(dist))
+	queue[0] = src
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]

@@ -6,17 +6,16 @@ import (
 	"slices"
 )
 
-// Streaming constructors: the Builder validates through hash maps — a
-// seenEdge map, a seenPort map, and one port map per node — which is
-// fine at test sizes but allocates several hundred bytes per edge, so at
-// n=10M the temporary maps cost more memory than the refinement they
-// feed. The *Stream constructors below build the same graphs against a
-// single []Half slab with sort+dedup over packed uint64 edges instead of
-// maps: correctness comes from the construction (ports are permutations
-// by construction, the spanning tree gives connectivity), and the
-// Builder-based forms remain the reference the equivalence tests pin
-// against — each Stream constructor is bit-identical to its Builder
-// counterpart, including the rand stream it consumes.
+// Streaming constructors: the Builder collects every edge and then
+// validates the whole list, which the families below do not need —
+// their ports are permutations by construction and a spanning tree
+// gives connectivity. The *Stream constructors build the same graphs
+// straight into a single []Half slab (with sort+dedup over packed
+// uint64 edges where a random graph needs it), so at n=10M they hold no
+// edge list beside the adjacency. The Builder-based forms remain the
+// reference the equivalence tests pin against — each Stream constructor
+// is bit-identical to its Builder counterpart, including the rand
+// stream it consumes.
 
 // newSlabGraph returns a graph whose adjacency rows are slices of one
 // shared slab, sized by deg. Rows are zeroed; the caller fills every
