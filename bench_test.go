@@ -719,13 +719,18 @@ func heapWatermark() func() float64 {
 }
 
 // E26 — frontier-parallel refinement at scale (DESIGN.md §10): the
-// election-index loop at n up to 10M on stream-constructed graphs, with
+// election-index loop at n up to 10M on stream-constructed graphs
+// (random, square grid, and that grid with permuted node ids), with
 // the full-sweep Refiner as ablation at the sizes where it is still
 // affordable and a worker sweep showing the numbering invariance holds
 // at every pool size. Reports the stabilization depth reached (phi on
 // feasible graphs) and the peak heap watermark of the run, graph
 // included — the number the acceptance memory budget tracks.
 func BenchmarkFrontierRefinement(b *testing.B) {
+	sqgrid := func(n int) *graph.Graph {
+		w := int(math.Sqrt(float64(n)))
+		return graph.GridStream(w, (n+w-1)/w)
+	}
 	families := []struct {
 		name  string
 		build func(n int) *graph.Graph
@@ -735,9 +740,13 @@ func BenchmarkFrontierRefinement(b *testing.B) {
 		{"random", func(n int) *graph.Graph { return graph.RandomConnectedStream(n, n/2, 1) }},
 		// Large-diameter: phi grows like the diameter and the frontier
 		// is a thin wave, the regime the worklist discipline targets.
-		{"sqgrid", func(n int) *graph.Graph {
-			w := int(math.Sqrt(float64(n)))
-			return graph.GridStream(w, (n+w-1)/w)
+		{"sqgrid", sqgrid},
+		// The same grid with node ids scattered, as perfbench's deep-grid
+		// input is: a class's members lie far apart in node order, so
+		// the wave's touched members are cache misses.
+		{"sqgrid-perm", func(n int) *graph.Graph {
+			g := sqgrid(n)
+			return graph.RelabelNodes(g, rand.New(rand.NewSource(1)).Perm(g.N()))
 		}},
 	}
 	runIndex := func(b *testing.B, g *graph.Graph, newEngine func() part.Engine) {

@@ -10,10 +10,13 @@
 //
 // The JSON records, per benchmark: name, iterations, ns/op, B/op,
 // allocs/op, and every custom b.ReportMetric value (phi, advice-bits,
-// rounds, ...), plus run metadata (go version, commit, timestamp).
+// rounds, ...), plus run metadata: go version, commit, whether the tree
+// had uncommitted changes, timestamp, and the machine the rows ran on
+// (GOMAXPROCS and the CPU model, as go test reports them).
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,6 +45,9 @@ type Report struct {
 	Created     string   `json:"created"`
 	GoVersion   string   `json:"go_version"`
 	Commit      string   `json:"commit,omitempty"`
+	Dirty       bool     `json:"dirty"`
+	GoMaxProcs  int      `json:"gomaxprocs,omitempty"`
+	CPU         string   `json:"cpu,omitempty"`
 	BenchRegexp string   `json:"bench_regexp"`
 	BenchTime   string   `json:"bench_time,omitempty"`
 	Results     []Result `json:"results"`
@@ -79,23 +85,19 @@ func run(bench, benchtime, pkg, out string, count int, verbose bool) error {
 	if err != nil {
 		return fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
 	}
-	results, err := parse(string(raw))
+	rep, err := parse(string(raw))
 	if err != nil {
 		return err
 	}
-	if len(results) == 0 {
+	if len(rep.Results) == 0 {
 		return fmt.Errorf("no benchmark lines matched %q", bench)
 	}
 	now := time.Now().UTC()
-	rep := Report{
-		CreatedUnix: now.Unix(),
-		Created:     now.Format(time.RFC3339),
-		GoVersion:   goVersion(),
-		Commit:      gitCommit(),
-		BenchRegexp: bench,
-		BenchTime:   benchtime,
-		Results:     results,
-	}
+	rep.CreatedUnix = now.Unix()
+	rep.Created = now.Format(time.RFC3339)
+	rep.GoVersion = goVersion()
+	rep.Commit, rep.Dirty = gitCommit(), gitDirty()
+	rep.BenchRegexp, rep.BenchTime = bench, benchtime
 	if out == "" {
 		out = nextOutputName()
 	}
@@ -106,30 +108,48 @@ func run(bench, benchtime, pkg, out string, count int, verbose bool) error {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("bench: wrote %d results to %s\n", len(results), out)
+	fmt.Printf("bench: wrote %d results to %s\n", len(rep.Results), out)
 	return nil
 }
 
-// benchLine matches "BenchmarkFoo/sub-8   123   456 ns/op   ..." lines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
+// benchLine matches "BenchmarkFoo/sub-8   123   456 ns/op   ..." lines;
+// procsSuffix the "-8" that go test appends when GOMAXPROCS is not 1.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
+	procsSuffix = regexp.MustCompile(`-(\d+)$`)
+)
 
-func parse(out string) ([]Result, error) {
-	var results []Result
+// parse reads go test -bench output into a Report's results, CPU model
+// and GOMAXPROCS. GOMAXPROCS is left 0 when the rows disagree on it, as
+// under a -cpu list.
+func parse(out string) (Report, error) {
+	var rep Report
+	procs := map[int]bool{}
 	for _, line := range strings.Split(out, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		line = strings.TrimSpace(line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			rep.CPU = cpu
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		iters, err := strconv.ParseInt(m[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad iteration count in %q", line)
+			return Report{}, fmt.Errorf("bad iteration count in %q", line)
 		}
+		p := 1
+		if s := procsSuffix.FindStringSubmatch(m[1]); s != nil {
+			p, _ = strconv.Atoi(s[1])
+		}
+		procs[p] = true
 		r := Result{Name: m[1], Iterations: iters}
 		fields := strings.Fields(m[3])
 		for i := 0; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad value %q in %q", fields[i], line)
+				return Report{}, fmt.Errorf("bad value %q in %q", fields[i], line)
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -145,9 +165,14 @@ func parse(out string) ([]Result, error) {
 				r.Metrics[unit] = val
 			}
 		}
-		results = append(results, r)
+		rep.Results = append(rep.Results, r)
 	}
-	return results, nil
+	if len(procs) == 1 {
+		for p := range procs {
+			rep.GoMaxProcs = p
+		}
+	}
+	return rep, nil
 }
 
 // nextOutputName picks BENCH_<n>.json for the smallest n larger than any
@@ -170,6 +195,13 @@ func goVersion() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// gitDirty reports whether the working tree has uncommitted changes or
+// untracked files, which the commit alone would not reproduce.
+func gitDirty() bool {
+	out, err := exec.Command("git", "status", "--porcelain").Output()
+	return err == nil && len(bytes.TrimSpace(out)) > 0
 }
 
 func gitCommit() string {

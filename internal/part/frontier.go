@@ -17,9 +17,10 @@
 // FrontierRefiner iterates exactly Refiner's recurrence under that
 // discipline:
 //
-//   - classes carry persistent internal ids and live as contiguous,
-//     ascending runs of the order array; a split rearranges only the
-//     parent's run, so there is no global regroup pass;
+//   - classes carry persistent internal ids and live as contiguous
+//     runs of the order array (in no particular member order; pos is
+//     the inverse); a split rearranges only the parent's run, so there
+//     is no global regroup pass;
 //   - the frontier is the set of classes CREATED at the previous Step.
 //     Split keys read neighbor ids, and a split leaves the retained
 //     part's id unchanged, so the only ids a key can newly mention are
@@ -30,7 +31,8 @@
 //     touch phase walks the new classes' members' edges, claims the
 //     neighbor classes with atomic fetch-or bits over a []uint64
 //     bitmap (Ligra-style), and marks each neighbor node "touched" in
-//     a second bitmap;
+//     a second bitmap. After the barrier every touched node is swapped
+//     through pos to the tail of its class's run;
 //   - dirty classes are split by the same counting passes as
 //     Refiner.splitBy, parallelized over the worker count: runs are
 //     disjoint position ranges of the shared scratch arrays, so workers
@@ -39,13 +41,14 @@
 //     O(n)-sized sparse map. Untouched members of a dirty class kept
 //     their entire key vector, and a touched member's vector always
 //     differs from an untouched one's at the port through which it was
-//     touched, so the untouched block is lumped into one part with no
-//     per-port hashing and only the touched tail is refined — the
-//     Hopcroft-flavored move that keeps a giant class that sheds a thin
-//     boundary every depth (grids) from being rehashed wholesale;
+//     touched, so the untouched block at the head of the run is one
+//     part that is never read, and only the touched tail is refined — a
+//     thin-wave depth costs O(touched), not O(class size);
 //   - new persistent ids and the next frontier are assigned after a
-//     barrier from per-worker subgroup counts merged by prefix sum, so
-//     the result is independent of the worker count.
+//     barrier from per-worker subgroup counts merged by prefix sum.
+//     Which touched part keeps a parent id can depend on the order in
+//     which racing workers listed the touched nodes; the partition, and
+//     so every accessor, cannot.
 //
 // Canonical (first-occurrence) class numbering — the contract every
 // consumer is pinned to — is computed lazily, once per depth, by a
@@ -102,18 +105,21 @@ type FrontierRefiner struct {
 	maxDeg int
 
 	class []int32 // persistent class id per node
-	order []int32 // members, one contiguous ascending run per class
+	order []int32 // members, one contiguous run per class
+	pos   []int32 // node -> index in order; rebuilt after dense Steps
 	grp   []int32 // per-position subgroup scratch
 	grp2  []int32
 	buf   []int32 // stable-scatter targets
 	bufG  []int32
 
-	// Per persistent id: the class's run [runStart, runEnd) in order.
-	// A split rearranges only within the parent's span: the largest
-	// part keeps the parent id and the other segments get fresh ids, so
-	// no members ever move between spans.
+	// Per persistent id: the class's run [runStart, runEnd) in order,
+	// and tcount, its touched members moved to the run's tail this Step
+	// (zero between Steps). A split rearranges only within the parent's
+	// span: the largest part keeps the parent id and the other segments
+	// get fresh ids, so no members ever move between spans.
 	runStart []int32
 	runEnd   []int32
+	tcount   []int32
 	nextID   int32 // first unused persistent id
 	k        int   // live class count
 	depth    int
@@ -124,18 +130,22 @@ type FrontierRefiner struct {
 	claimed []uint64 // claim bitmap over persistent ids (touch phase)
 	touched []uint64 // per-node bitmap: has a neighbor with a new id
 
+	dense    bool // this Step treats every member as touched
+	posStale bool // pos has not followed a dense Step yet
+
 	// Per-depth arenas, reset (not reallocated) every Step.
-	dirty    []int32 // dirty class ids, sorted by run start
-	parts    []int32 // subgroup count per dirty class
-	idBase   []int32 // first new persistent id per dirty class
-	frontOff []int32 // offset of each dirty class's frontier entries
+	chunks   [][2]int // dirty-list chunks, shared by split and apply
+	dirty    []int32  // dirty class ids, sorted by run start
+	parts    []int32  // subgroup count per dirty class
+	idBase   []int32  // first new persistent id per dirty class
+	frontOff []int32  // offset of each dirty class's frontier entries
 
 	// Lazy canonical numbering (first occurrence in node order).
 	canonValid bool
 	canonGen   int32
 	canonSeen  []int32 // persistent id -> generation last seen
 	canonOf    []int32 // persistent id -> canonical id
-	canonRep   []int32 // canonical id -> persistent id
+	canonRep   []int32 // canonical id -> smallest member
 
 	ws []*frontierWorker
 	wg sync.WaitGroup
@@ -146,7 +156,7 @@ type FrontierRefiner struct {
 // reach 2n, so the dense stamp maps Refiner uses would cost O(n) per
 // worker), a dense stamped table for remote ports (bounded by the max
 // degree), per-subgroup counters for the stable scatter, and the
-// worker's slice of the touch phase's dirty-class discoveries.
+// worker's slice of the touch phase's dirty classes and touched nodes.
 type frontierWorker struct {
 	keys      []int32
 	vals      []int32
@@ -160,6 +170,7 @@ type frontierWorker struct {
 
 	cnt   []int32
 	dirty []int32
+	moved []int32
 }
 
 // NewFrontierRefiner starts frontier refinement of g at depth 0
@@ -196,6 +207,8 @@ func NewFrontierRefiner(g *graph.Graph, workers int) *FrontierRefiner {
 
 	r.class = make([]int32, n)
 	r.order = make([]int32, n)
+	r.pos = make([]int32, n)
+	r.posStale = true
 	r.grp = make([]int32, n)
 	r.grp2 = make([]int32, n)
 	r.buf = make([]int32, n)
@@ -221,6 +234,7 @@ func NewFrontierRefiner(g *graph.Graph, workers int) *FrontierRefiner {
 	r.nextID = int32(k)
 	r.runStart = make([]int32, k)
 	r.runEnd = make([]int32, k)
+	r.tcount = make([]int32, k)
 	cnt := make([]int32, k+1)
 	for v := 0; v < n; v++ {
 		cnt[r.class[v]+1]++
@@ -294,11 +308,10 @@ func (r *FrontierRefiner) CopyClasses(dst []int32) []int32 {
 }
 
 // Representative returns the smallest node id of canonical class c at
-// the current depth: runs hold members ascending, so it is the first
-// node of the class's run.
+// the current depth.
 func (r *FrontierRefiner) Representative(c int) int {
 	r.canon()
-	return int(r.order[r.runStart[r.canonRep[c]]])
+	return int(r.canonRep[c])
 }
 
 // Representatives returns, in class order, the smallest node id of each
@@ -307,15 +320,16 @@ func (r *FrontierRefiner) Representatives() []int {
 	r.canon()
 	out := make([]int, r.k)
 	for c := 0; c < r.k; c++ {
-		out[c] = int(r.order[r.runStart[r.canonRep[c]]])
+		out[c] = int(r.canonRep[c])
 	}
 	return out
 }
 
 // canon computes the canonical numbering for the current depth if the
 // cache is stale: one pass over the nodes, first occurrence of each
-// persistent id in node order. Accessors after a stable Step reuse the
-// cache — the partition did not change, so neither did the numbering.
+// persistent id in node order (its smallest member). Accessors after a
+// stable Step reuse the cache — the partition did not change, so neither
+// did the numbering.
 func (r *FrontierRefiner) canon() {
 	if r.canonValid {
 		return
@@ -335,7 +349,7 @@ func (r *FrontierRefiner) canon() {
 		if r.canonSeen[p] != gen {
 			r.canonSeen[p] = gen
 			r.canonOf[p] = id
-			r.canonRep[id] = p
+			r.canonRep[id] = int32(v)
 			id++
 		}
 	}
@@ -355,39 +369,33 @@ func (r *FrontierRefiner) Step() {
 	r.touch()
 	if len(r.dirty) == 0 {
 		r.frontier = r.frontier[:0]
-		clear(r.touched)
 		return
 	}
 	r.split()
 	r.apply()
-	// Reset the touched bitmap for the next depth's marking. A plain
-	// sequential memclr: per-run clearing inside splitRun would be a
-	// data race (runs from different classes share bitmap words).
-	clear(r.touched)
 }
 
 // touch builds the dirty-class set: every non-singleton class holding a
 // neighbor of a member of a frontier class. Workers claim classes with
 // atomic fetch-or bits; the merged discoveries are sorted by run start
-// so everything downstream is deterministic.
+// so new ids are handed out in run order.
 func (r *FrontierRefiner) touch() {
 	// Dense escape hatch. On small-diameter graphs (and the first depths
 	// of every refinement) the frontier covers most of the graph, and the
-	// two CAS sequences per scanned edge cost several times the work they
-	// could ever save. When the frontier's edge weight reaches half the
-	// graph's, mark every node touched and collect the dirty set — every
-	// non-singleton class — with one ordered walk over the runs, which
-	// arrives already sorted by run start.
+	// CAS traffic per scanned edge costs several times the work it could
+	// ever save. When the frontier's edge weight reaches half the
+	// graph's, treat every node as touched and collect the dirty set —
+	// every non-singleton class — with one ordered walk over the runs,
+	// already sorted by run start. pos is rebuilt at the next sparse Step.
 	fw := 0
 	for _, p := range r.frontier {
 		size := int(r.runEnd[p] - r.runStart[p])
 		v0 := r.order[r.runStart[p]]
 		fw += size * (1 + int(r.off[v0+1]-r.off[v0]))
 	}
-	if 2*fw >= r.n+len(r.nbr) {
-		for i := range r.touched {
-			r.touched[i] = ^uint64(0)
-		}
+	r.dense = 2*fw >= r.n+len(r.nbr)
+	if r.dense {
+		r.posStale = true
 		r.dirty = r.dirty[:0]
 		for p := 0; p < r.n; {
 			c := r.class[r.order[p]]
@@ -400,14 +408,19 @@ func (r *FrontierRefiner) touch() {
 		return
 	}
 
+	if r.posStale {
+		for i, v := range r.order {
+			r.pos[v] = int32(i)
+		}
+		r.posStale = false
+	}
 	words := (int(r.nextID) + 63) / 64
 	r.claimed = growUint64(r.claimed, words)
 
 	chunks := r.frontierChunks()
-	r.ensureWorkers(len(chunks))
 	r.runChunks(chunks, func(w, lo, hi int) {
 		wk := r.ws[w]
-		wk.dirty = wk.dirty[:0]
+		wk.dirty, wk.moved = wk.dirty[:0], wk.moved[:0]
 		for _, p := range r.frontier[lo:hi] {
 			for i := r.runStart[p]; i < r.runEnd[p]; i++ {
 				u := r.order[i]
@@ -418,32 +431,14 @@ func (r *FrontierRefiner) touch() {
 						continue // singletons never split
 					}
 					// Mark the neighbor node: its key vector mentions
-					// u's new id, so it changed. splitRun lumps the
-					// unmarked members of a dirty class without
-					// rehashing them. Same CAS spelling as below.
-					tword, tbit := w>>6, uint64(1)<<(w&63)
-					for {
-						old := atomic.LoadUint64(&r.touched[tword])
-						if old&tbit != 0 {
-							break
-						}
-						if atomic.CompareAndSwapUint64(&r.touched[tword], old, old|tbit) {
-							break
-						}
-					}
-					// Fetch-or spelled as a CAS loop rather than the
-					// value-returning atomic.OrUint64: the CAS winner is
-					// the unique claimer, so each dirty class is appended
-					// by exactly one worker.
-					word, bit := c>>6, uint64(1)<<(c&63)
-					for {
-						old := atomic.LoadUint64(&r.claimed[word])
-						if old&bit != 0 {
-							break
-						}
-						if atomic.CompareAndSwapUint64(&r.claimed[word], old, old|bit) {
+					// u's new id, so it changed. The node's unique
+					// claimer lists it for the move to its run's tail
+					// and claims its class, so each dirty class is
+					// appended by exactly one worker.
+					if setBit(r.touched, w) {
+						wk.moved = append(wk.moved, w)
+						if setBit(r.claimed, c) {
 							wk.dirty = append(wk.dirty, c)
-							break
 						}
 					}
 				}
@@ -451,9 +446,21 @@ func (r *FrontierRefiner) touch() {
 		}
 	})
 
+	// Swap each touched node into the last untouched slot of its run, so
+	// the run reads [untouched | touched], and clear its bitmap word: the
+	// bitmap is not read again this Step.
 	r.dirty = r.dirty[:0]
-	for w := range r.ws[:len(chunks)] {
-		r.dirty = append(r.dirty, r.ws[w].dirty...)
+	for _, wk := range r.ws[:len(chunks)] {
+		r.dirty = append(r.dirty, wk.dirty...)
+		for _, v := range wk.moved {
+			c := r.class[v]
+			t := r.runEnd[c] - r.tcount[c] - 1
+			i, x := r.pos[v], r.order[t]
+			r.order[i], r.pos[x] = x, i
+			r.order[t], r.pos[v] = v, t
+			r.tcount[c]++
+			r.touched[v>>6] = 0
+		}
 	}
 	for _, c := range r.dirty {
 		r.claimed[c>>6] = 0
@@ -463,29 +470,59 @@ func (r *FrontierRefiner) touch() {
 	})
 }
 
-// split refines every dirty class's run in place by the same per-port
-// counting passes as Refiner.Step, recording the subgroup count per
-// class. Runs are disjoint ranges of order/grp/grp2/buf/bufG, so
-// workers share those arrays without synchronization.
+// setBit atomically sets bit i of bm and reports whether this call set
+// it: a fetch-or spelled as a Load+CAS loop, not the value-returning
+// atomic.OrUint64 that go1.24.0 miscompiles in claim loops (atomicfetchor).
+func setBit(bm []uint64, i int32) bool {
+	word, bit := i>>6, uint64(1)<<(i&63)
+	for {
+		old := atomic.LoadUint64(&bm[word])
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&bm[word], old, old|bit) {
+			return true
+		}
+	}
+}
+
+// split refines the touched tail of every dirty class's run in place by
+// the same per-port counting passes as Refiner.Step, recording the
+// subgroup count per class. Runs are disjoint ranges of
+// order/pos/grp/grp2/buf/bufG, so workers share those arrays without
+// synchronization. The chunks, weighted by tail work, are kept for apply.
 func (r *FrontierRefiner) split() {
 	r.parts = growInt32(r.parts, len(r.dirty))
-	chunks := r.dirtyChunks()
-	r.ensureWorkers(len(chunks))
-	r.runChunks(chunks, func(w, lo, hi int) {
+	r.chunks = chunkByWeight(len(r.dirty), r.workers, func(i int) int {
+		_, s2, e := r.span(r.dirty[i])
+		v0 := r.order[s2]
+		return (e - s2) * (1 + int(r.off[v0+1]-r.off[v0]))
+	})
+	r.runChunks(r.chunks, func(w, lo, hi int) {
 		wk := r.ws[w]
 		for di := lo; di < hi; di++ {
-			c := r.dirty[di]
-			r.parts[di] = int32(wk.splitRun(r, int(r.runStart[c]), int(r.runEnd[c])))
+			s, s2, e := r.span(r.dirty[di])
+			r.parts[di] = int32(wk.splitRun(r, s, s2, e))
 		}
 	})
+}
+
+// span returns dirty class c's run [s, e) and the start s2 of its
+// touched tail, which is the whole run on a dense Step.
+func (r *FrontierRefiner) span(c int32) (s, s2, e int) {
+	s, e = int(r.runStart[c]), int(r.runEnd[c])
+	if r.dense {
+		return s, s, e
+	}
+	return s, e - int(r.tcount[c]), e
 }
 
 // apply turns the recorded subgroups into classes: a sequential prefix
 // pass over the dirty list assigns each class its block of new
 // persistent ids and its slice of the next frontier, then a parallel
 // pass carves the runs, relabels the moved members and writes the
-// frontier entries — all into precomputed disjoint offsets, so the
-// result is identical for every worker count.
+// frontier entries — all into precomputed disjoint offsets. It resets
+// every dirty class's tcount for the next Step.
 func (r *FrontierRefiner) apply() {
 	nd := len(r.dirty)
 	r.idBase = growInt32(r.idBase, nd)
@@ -505,28 +542,30 @@ func (r *FrontierRefiner) apply() {
 	}
 	r.runStart = growInt32(r.runStart, int(r.nextID+newIDs))
 	r.runEnd = growInt32(r.runEnd, int(r.nextID+newIDs))
+	r.tcount = growInt32(r.tcount, int(r.nextID+newIDs))
 	r.frontier2 = growInt32(r.frontier2, int(frontLen))
 
-	chunks := r.dirtyChunks()
-	r.runChunks(chunks, func(w, lo, hi int) {
+	r.runChunks(r.chunks, func(w, lo, hi int) {
 		for di := lo; di < hi; di++ {
+			c := r.dirty[di]
+			s, s2, e := r.span(c)
+			r.tcount[c] = 0
 			if r.parts[di] < 2 {
 				continue
 			}
-			c := r.dirty[di]
-			s, e := int(r.runStart[c]), int(r.runEnd[c])
-			// The LARGEST part keeps the parent id (first wins ties) —
-			// Hopcroft's move. A node re-enters the frontier only when
-			// its class at least halves, so it is scanned O(log n)
-			// times total; let the first part keep the id instead and a
-			// giant class shedding a sliver every depth would push its
-			// whole membership through the frontier every depth. Which
-			// part keeps the id is invisible to consumers: canonical
-			// numbering scans class[] directly.
+			// Segments: the untouched block [s, s2) if non-empty, then
+			// the tail's subgroups. The LARGEST keeps the parent id —
+			// Hopcroft's move: a node re-enters the frontier only when its
+			// class at least halves, so it is scanned O(log n) times in
+			// all. The first segment wins ties, so untouched members are
+			// relabeled only for a strictly larger touched segment, at
+			// less than the touched members' cost. Which part keeps the
+			// id is invisible to consumers: canon scans class[].
+			from := max(s+1, s2) // first possible segment end
 			bigStart, bigEnd := s, s
 			segStart := s
-			for i := s + 1; i <= e; i++ {
-				if i != e && r.grp[i] == r.grp[i-1] {
+			for i := from; i <= e; i++ {
+				if i != e && i > s2 && r.grp[i] == r.grp[i-1] {
 					continue
 				}
 				if i-segStart > bigEnd-bigStart {
@@ -537,8 +576,8 @@ func (r *FrontierRefiner) apply() {
 			base, fo := r.idBase[di], r.frontOff[di]
 			nid := int32(0)
 			segStart = s
-			for i := s + 1; i <= e; i++ {
-				if i != e && r.grp[i] == r.grp[i-1] {
+			for i := from; i <= e; i++ {
+				if i != e && i > s2 && r.grp[i] == r.grp[i-1] {
 					continue
 				}
 				if segStart == bigStart {
@@ -565,55 +604,22 @@ func (r *FrontierRefiner) apply() {
 	r.frontier, r.frontier2 = r.frontier2[:frontLen], r.frontier[:0]
 }
 
-// splitRun refines the run order[s:e) (one class; equal degrees) by
-// (neighbor class, remote port) per local port, with Refiner.Step's
-// early exit once the run is fully discrete. It returns the subgroup
-// count and leaves the subgroup runs contiguous in order[s:e) with grp
-// holding the per-position subgroup ids.
+// splitRun refines the touched tail order[s2:e) of the run order[s:e)
+// (one class; equal degrees) by (neighbor class, remote port) per local
+// port, with Refiner.Step's early exit once the tail is fully discrete.
+// It returns the subgroup count, the untouched block order[s:s2)
+// counting as one, and leaves the tail's subgroups contiguous with grp
+// holding their per-position ids. A dirty class always has a touched
+// member (that is what made it dirty), so the tail is never empty.
 //
-// Members without the touched bit kept their entire key vector: no
-// neighbor of theirs has a new id (ports never change), so their keys
-// are equal exactly as before. A touched member's vector, by contrast,
-// always differs from an untouched one's — at the port through which it
-// was touched the touched member reads a carved id while the untouched
-// member reads an id that existed before (had it read a carved id, its
-// own bit would be set). The untouched block is therefore one final
-// part, stably compacted to the front of the run with a single copy
-// pass, and only the touched tail pays the per-port hashing.
-func (wk *frontierWorker) splitRun(r *FrontierRefiner, s, e int) int {
-	u := 0
-	for i := s; i < e; i++ {
-		v := r.order[i]
-		if r.touched[v>>6]&(uint64(1)<<(uint32(v)&63)) == 0 {
-			r.buf[s+u] = v
-			u++
-		}
-	}
-	if u > 0 && u < e-s {
-		t := s + u
-		for i := s; i < e; i++ {
-			v := r.order[i]
-			if r.touched[v>>6]&(uint64(1)<<(uint32(v)&63)) != 0 {
-				r.buf[t] = v
-				t++
-			}
-		}
-		copy(r.order[s:e], r.buf[s:e])
-	}
-	s2 := s + u
-	if s2 == e {
-		// A dirty class always holds a touched member (that is what made
-		// it dirty) — except at a fixed point reached mid-wave, where
-		// claims can arrive from a sibling whose members were all carved
-		// away. Nothing to refine.
-		for i := s; i < e; i++ {
-			r.grp[i] = -1
-		}
-		return 1
-	}
-	for i := s; i < s2; i++ {
-		r.grp[i] = -1 // sentinel: never produced by the split passes
-	}
+// Untouched members kept their entire key vector: no neighbor of theirs
+// has a new id (ports never change), so their keys are equal exactly as
+// before. A touched member's vector, by contrast, always differs from an
+// untouched one's — at the port through which it was touched the
+// touched member reads a carved id while the untouched member reads an
+// id that existed before (had it read a carved id, it would have been
+// touched). So the untouched block is one final part, never read.
+func (wk *frontierWorker) splitRun(r *FrontierRefiner, s, s2, e int) int {
 	for i := s2; i < e; i++ {
 		r.grp[i] = 0
 	}
@@ -627,7 +633,7 @@ func (wk *frontierWorker) splitRun(r *FrontierRefiner, s, e int) int {
 			nsub = wk.splitByPort(r, s2, e, j)
 		}
 	}
-	if u > 0 {
+	if s2 > s {
 		return nsub + 1
 	}
 	return nsub
@@ -719,7 +725,7 @@ func (wk *frontierWorker) splitByPort(r *FrontierRefiner, lo, hi, j int) int {
 // scatter stably reorders order[a:b] (and grp2 alongside) so that the
 // subgroups base..newN-1 become contiguous, preserving member order
 // within each subgroup — Refiner.splitBy's scatter on the shared
-// position-indexed buffers.
+// position-indexed buffers. On a sparse Step it keeps pos exact.
 func (wk *frontierWorker) scatter(r *FrontierRefiner, a, b, base, newN int) {
 	if newN-base <= 1 {
 		return
@@ -745,6 +751,11 @@ func (wk *frontierWorker) scatter(r *FrontierRefiner, a, b, base, newN int) {
 	}
 	copy(r.order[a:b], r.buf[a:b])
 	copy(r.grp2[a:b], r.bufG[a:b])
+	if !r.dense {
+		for i := a; i < b; i++ {
+			r.pos[r.order[i]] = int32(i)
+		}
+	}
 }
 
 // ensure sizes the worker's key table to hold run distinct keys at load
@@ -778,17 +789,6 @@ func (r *FrontierRefiner) frontierChunks() [][2]int {
 		p := r.frontier[i]
 		size := int(r.runEnd[p] - r.runStart[p])
 		v0 := r.order[r.runStart[p]]
-		return size * (1 + int(r.off[v0+1]-r.off[v0]))
-	})
-}
-
-// dirtyChunks partitions the dirty list into up to workers contiguous
-// chunks of roughly equal member work.
-func (r *FrontierRefiner) dirtyChunks() [][2]int {
-	return chunkByWeight(len(r.dirty), r.workers, func(i int) int {
-		c := r.dirty[i]
-		size := int(r.runEnd[c] - r.runStart[c])
-		v0 := r.order[r.runStart[c]]
 		return size * (1 + int(r.off[v0+1]-r.off[v0]))
 	})
 }

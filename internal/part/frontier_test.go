@@ -2,6 +2,7 @@ package part_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,6 +16,17 @@ import (
 // scatter phases for data races.
 var frontierWorkerCounts = []int{1, 4, 8}
 
+// frontierGraphs is testGraphs plus part.PermutedGraphs, the
+// large-diameter graphs with scattered node ids on which most depths
+// move only a thin wave of touched members.
+func frontierGraphs() map[string]*graph.Graph {
+	gs := testGraphs()
+	for name, g := range part.PermutedGraphs() {
+		gs[name] = g
+	}
+	return gs
+}
+
 // TestFrontierMatchesRefiner is the differential contract of the
 // frontier engine: on every family in the repository, for every worker
 // count, FrontierRefiner is bit-identical to the reference Refiner at
@@ -22,7 +34,7 @@ var frontierWorkerCounts = []int{1, 4, 8}
 // every node, same minimal representatives, through stabilization and
 // two depths beyond it.
 func TestFrontierMatchesRefiner(t *testing.T) {
-	for name, g := range testGraphs() {
+	for name, g := range frontierGraphs() {
 		for _, workers := range frontierWorkerCounts {
 			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
 				ref := part.NewRefiner(g)
@@ -85,7 +97,7 @@ func TestFrontierMatchesRefiner(t *testing.T) {
 // not change — and once empty, it stays empty with the partition frozen
 // forever (classes only ever split, so the first fixed point is final).
 func TestFrontierEmptyIffStable(t *testing.T) {
-	for name, g := range testGraphs() {
+	for name, g := range frontierGraphs() {
 		for _, workers := range frontierWorkerCounts {
 			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
 				fr := part.NewFrontierRefiner(g, workers)
@@ -122,15 +134,20 @@ func TestFrontierEmptyIffStable(t *testing.T) {
 
 // TestFrontierStreamedLargeRandom is the differential check at a size
 // where the parallel path actually engages (chunking kicks in above the
-// sequential cutoff) rather than degenerating to one chunk, on a
-// stream-constructed graph — the construction the large-n benchmarks
-// use.
+// sequential cutoff) rather than degenerating to one chunk, on
+// stream-constructed graphs — the construction the large-n benchmarks
+// use. The random graphs exercise dense depths; the permuted grid, the
+// shape of perfbench's deep-grid input, chunks sparse depths too.
 func TestFrontierStreamedLargeRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential sweep")
 	}
-	for _, seed := range []int64{1, 2} {
-		g := graph.RandomConnectedStream(9000, 4500, seed)
+	grid := graph.GridStream(150, 151)
+	for name, g := range map[string]*graph.Graph{
+		"random-s1":         graph.RandomConnectedStream(9000, 4500, 1),
+		"random-s2":         graph.RandomConnectedStream(9000, 4500, 2),
+		"perm-grid-150x151": graph.RelabelNodes(grid, rand.New(rand.NewSource(3)).Perm(grid.N())),
+	} {
 		ref := part.NewRefiner(g)
 		fr := part.NewFrontierRefiner(g, 8)
 		for {
@@ -138,12 +155,12 @@ func TestFrontierStreamedLargeRandom(t *testing.T) {
 			ref.Step()
 			fr.Step()
 			if fr.NumClasses() != ref.NumClasses() {
-				t.Fatalf("seed %d depth %d: %d classes, refiner has %d", seed, fr.Depth(), fr.NumClasses(), ref.NumClasses())
+				t.Fatalf("%s depth %d: %d classes, refiner has %d", name, fr.Depth(), fr.NumClasses(), ref.NumClasses())
 			}
 			fc, rc := fr.Classes(), ref.Classes()
 			for v := 0; v < g.N(); v++ {
 				if fc[v] != rc[v] {
-					t.Fatalf("seed %d depth %d: node %d class %d, refiner says %d", seed, fr.Depth(), v, fc[v], rc[v])
+					t.Fatalf("%s depth %d: node %d class %d, refiner says %d", name, fr.Depth(), v, fc[v], rc[v])
 				}
 			}
 			if ref.NumClasses() == k {

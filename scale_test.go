@@ -9,8 +9,11 @@
 package election
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 func TestElectionIndexScaleSmoke(t *testing.T) {
@@ -28,6 +31,10 @@ func TestElectionIndexScaleSmoke(t *testing.T) {
 		// frontier discipline — a full sweep per depth would blow the
 		// ceiling by an order of magnitude.
 		{"sqgrid-n1000000", GridStream(1000, 1000)},
+		// The same grid with node ids scattered, as perfbench's deep-grid
+		// input is: the touched members of each depth's wave are spread
+		// over the whole node range.
+		{"sqgrid-perm-n1000000", graph.RelabelNodes(GridStream(1000, 1000), rand.New(rand.NewSource(1)).Perm(1_000_000))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
